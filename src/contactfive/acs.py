@@ -275,9 +275,7 @@ def pullback_acs(acs: ACSField, chart: Chart5,
     Rinv = np.linalg.inv(R)
 
     def conjugated(P: np.ndarray) -> np.ndarray:
-        amb = chart.to_ambient(P)
-        M = j_matrices(acs, amb) if amb.ndim == 1 else j_matrices(acs, amb)
-        return np.einsum("ij,...jk,kl->...il", Rinv, M, R)
+        return Rinv @ j_matrices(acs, chart.to_ambient(P)) @ R
 
     def coeff_func(row: int, col: int):
         def f(*comps):
@@ -304,8 +302,7 @@ def pullback_consistency(acs: ACSField, chart: Chart5, n_samples: int = 64,
     rng = rng or np.random.default_rng(0)
     P = _sample_ball(rng, n_samples, 5, radius)
     amb = chart.to_ambient(P)
-    M = np.einsum("ij,njk,kl->nil", np.linalg.inv(chart.rot),
-                  j_matrices(acs, amb), chart.rot)
+    M = np.linalg.inv(chart.rot) @ j_matrices(acs, amb) @ chart.rot
     s, b, g, d = M[:, 0, 0], M[:, 2, 0], M[:, 3, 0], M[:, 0, 2]
     return float(np.max(np.abs(j_matrix_from_coeffs(s, b, g, d) - M)))
 

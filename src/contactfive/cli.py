@@ -19,6 +19,7 @@ from .charts import PlaneChart
 from .contact import ContactParams
 from .foliation import (build_leaf, intersect, leaf_through_parallel,
                         leaf_through_polar)
+from .lift import LIFT_TOL_FACTOR
 from .scenarios import SCENARIOS, verify_scenario
 from .solver import SolverConfig, solve_disk
 
@@ -97,7 +98,7 @@ def _cmd_foliate(args) -> int:
                       zeta_P=complex(args.zeta[0], args.zeta[1]),
                       t_max=args.t_max, t_count=args.t_count, cfg=cfg)
     report = {"command": "foliate", **leaf.header()}
-    tol = 10.0 * leaf.disks[0].h ** 2
+    tol = LIFT_TOL_FACTOR * leaf.disks[0].h ** 2
     report["tolerance"] = tol
     report["pass"] = report["max_jinv_residual"] <= tol
     if args.save:

@@ -123,6 +123,9 @@ class GridFunction:
     values: np.ndarray
     radius: float = 1.0
     mask: np.ndarray = field(default=None)
+    # derivative grids, computed once per instance and read-only
+    _derivs: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -162,28 +165,34 @@ class GridFunction:
                       ) -> "GridFunction":
         xs = np.linspace(-radius, radius, n)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        g = GridFunction(np.zeros((n, n)), radius)
-        g.values = np.where(g.mask, fn(X, Y), 0.0)
-        return g
+        return GridFunction(np.zeros((n, n)), radius).like(fn(X, Y))
 
     def like(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(np.where(self.mask, values, 0.0), self.radius,
                             self.mask.copy())
 
+    def _memo(self, name: str, kernel, axis: int, source=None):
+        if name not in self._derivs:
+            out = kernel(self.values if source is None else source,
+                         self.mask, self.h, axis)
+            out.flags.writeable = False
+            self._derivs[name] = out
+        return self._derivs[name]
+
     def f1(self) -> np.ndarray:
-        return _derivative(self.values, self.mask, self.h, 0)
+        return self._memo("f1", _derivative, 0)
 
     def f2(self) -> np.ndarray:
-        return _derivative(self.values, self.mask, self.h, 1)
+        return self._memo("f2", _derivative, 1)
 
     def f11(self) -> np.ndarray:
-        return _derivative2(self.values, self.mask, self.h, 0)
+        return self._memo("f11", _derivative2, 0)
 
     def f22(self) -> np.ndarray:
-        return _derivative2(self.values, self.mask, self.h, 1)
+        return self._memo("f22", _derivative2, 1)
 
     def f12(self) -> np.ndarray:
-        return _derivative(self.f1(), self.mask, self.h, 1)
+        return self._memo("f12", _derivative, 1, self.f1())
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values[self.mask])))

@@ -25,6 +25,7 @@ norm of L^-1, the iteration contracts in the ball of radius
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -80,8 +81,7 @@ class AdaptedChart:
         batch of chart points, via one conjugation."""
         R = self.chart.rot
         amb = self.chart.to_ambient(np.asarray(P, dtype=float))
-        M = np.einsum("ij,...jk,kl->...il", np.linalg.inv(R),
-                      j_matrices(self.acs, amb), R)
+        M = np.linalg.inv(R) @ j_matrices(self.acs, amb) @ R
         return (M[..., 0, 0], M[..., 2, 0], M[..., 3, 0], M[..., 0, 2],
                 M[..., 2, 1])
 
@@ -155,53 +155,45 @@ class EllipticOperator:
         self.e0, self.sigma0, self.gamma0 = e0, sigma0, gamma0
         xs = np.linspace(-1.0, 1.0, n)
         h = 2.0 / (n - 1)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        interior = X ** 2 + Y ** 2 < 1.0 - 1e-12
-        index = np.full((n, n), -1, dtype=int)
-        index[interior] = np.arange(int(np.count_nonzero(interior)))
+        interior = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0 - 1e-12
         m = int(np.count_nonzero(interior))
-        rows, cols, data = [], [], []
+        index = np.full((n, n), -1, dtype=int)
+        index[interior] = np.arange(m)
+        padded = np.pad(index, 1, constant_values=-1)   # -1 off the grid
+        I, J = np.nonzero(interior)
+        x, y = xs[I], xs[J]
 
-        def arm(i, j, di, dj):
-            # length and unknown index of the stencil arm; cut arms end
+        def neighbor(di, dj):
+            return padded[I + 1 + di, J + 1 + dj]
+
+        def arm(di, dj):
+            # length and unknown index of the stencil arms; cut arms end
             # on the circle where u = 0
-            ii, jj = i + di, j + dj
-            if 0 <= ii < n and 0 <= jj < n and interior[ii, jj]:
-                return h, index[ii, jj]
-            x, y = xs[i], xs[j]
+            k = neighbor(di, dj)
             if di != 0:
-                cut = np.sqrt(max(1.0 - y * y, 0.0)) - di * x
+                cut = np.sqrt(np.maximum(1.0 - y * y, 0.0)) - di * x
             else:
-                cut = np.sqrt(max(1.0 - x * x, 0.0)) - dj * y
-            return float(np.clip(cut, 1e-6 * h, h)), -1
+                cut = np.sqrt(np.maximum(1.0 - x * x, 0.0)) - dj * y
+            return np.where(k >= 0, h, np.clip(cut, 1e-6 * h, h)), k
 
-        for i, j in zip(*np.nonzero(interior)):
-            k = index[i, j]
-            diag = 0.0
-            for (di, dj, c) in ((1, 0, e0), (0, 1, gamma0)):
-                hp, kp = arm(i, j, di, dj)
-                hm, km = arm(i, j, -di, -dj)
-                if kp >= 0:
-                    rows.append(k)
-                    cols.append(kp)
-                    data.append(c * 2.0 / (hp * (hp + hm)))
-                if km >= 0:
-                    rows.append(k)
-                    cols.append(km)
-                    data.append(c * 2.0 / (hm * (hp + hm)))
-                diag -= c * 2.0 / (hp * hm)
-            rows.append(k)
-            cols.append(k)
-            data.append(diag)
-            if sigma0 != 0.0:
-                for (di, dj, s) in ((1, 1, 1.0), (-1, -1, 1.0),
-                                    (1, -1, -1.0), (-1, 1, -1.0)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < n and 0 <= jj < n and interior[ii, jj]:
-                        rows.append(k)
-                        cols.append(index[ii, jj])
-                        data.append(2.0 * sigma0 * s / (4.0 * h * h))
-        A = csr_matrix((data, (rows, cols)), shape=(m, m))
+        cols, vals = [], []            # one (m,) array per stencil slot
+        diag = 0.0
+        for (di, dj, c) in ((1, 0, e0), (0, 1, gamma0)):
+            hp, kp = arm(di, dj)
+            hm, km = arm(-di, -dj)
+            cols += [kp, km]
+            vals += [c * 2.0 / (hp * (hp + hm)), c * 2.0 / (hm * (hp + hm))]
+            diag -= c * 2.0 / (hp * hm)
+        cols.append(np.arange(m))
+        vals.append(diag)
+        if sigma0 != 0.0:
+            for (di, dj, s) in ((1, 1, 1.0), (-1, -1, 1.0),
+                                (1, -1, -1.0), (-1, 1, -1.0)):
+                cols.append(neighbor(di, dj))
+                vals.append(np.full(m, 2.0 * sigma0 * s / (4.0 * h * h)))
+        cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+        keep = np.nonzero(cols >= 0)   # arms cut by the circle drop out
+        A = csr_matrix((vals[keep], (keep[0], cols[keep])), shape=(m, m))
         self.interior = interior
         self.index = index
         self.h = h
@@ -223,16 +215,21 @@ class EllipticOperator:
         return out, res
 
 
-_OP_CACHE: dict = {}
+OP_CACHE_SIZE = 8                  # operators kept, least recently used out
+_OP_CACHE: OrderedDict = OrderedDict()
 
 
 def get_operator(n: int, e0: float, sigma0: float, gamma0: float
                  ) -> EllipticOperator:
     key = (n, round(float(e0), 12), round(float(sigma0), 12),
            round(float(gamma0), 12))
-    if key not in _OP_CACHE:
+    if key in _OP_CACHE:
+        _OP_CACHE.move_to_end(key)
+    else:
         _OP_CACHE[key] = EllipticOperator(n, float(e0), float(sigma0),
                                           float(gamma0))
+        if len(_OP_CACHE) > OP_CACHE_SIZE:
+            _OP_CACHE.popitem(last=False)
     return _OP_CACHE[key]
 
 
@@ -391,30 +388,21 @@ def smallness_report(ac: AdaptedChart, N: float, cfg: SolverConfig) -> dict:
     P = 1.05 * rng.uniform(size=(m, 1)) ** 0.2 * v
     P = np.concatenate([P, np.zeros((1, 5))], axis=0)
     h = cfg.smallness_fd_h
-    base = _coeff_stack(ac, P)
+    E = h * np.eye(5)
+    # all sample sets in one evaluation: P, then P +- e_i for each i,
+    # then the four corners P +- e_i +- e_j of every cross difference
+    shifts = [np.zeros(5)] + [s * E[i] for i in range(5) for s in (1, -1)]
+    shifts += [si * E[i] + sj * E[j] for i in range(5)
+               for j in range(i + 1, 5) for si in (1, -1) for sj in (1, -1)]
+    stack = _coeff_stack(ac, P + np.array(shifts)[:, None, :])
+    base, fp, fm, corners = stack[0], stack[1:11:2], stack[2:11:2], stack[11:]
     c0 = _coeff_stack(ac, np.zeros(5))
     val = np.max(np.abs(base - c0), axis=0)
-    d1 = np.zeros(5)
-    d2 = np.zeros(5)
-    shifts = {}
-    for i in range(5):
-        ei = np.zeros(5)
-        ei[i] = h
-        shifts[i] = (_coeff_stack(ac, P + ei), _coeff_stack(ac, P - ei))
-        fp, fm = shifts[i]
-        d1 = np.maximum(d1, np.max(np.abs(fp - fm), axis=0) / (2 * h))
-        d2 = np.maximum(d2, np.max(np.abs(fp + fm - 2 * base), axis=0) / h ** 2)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            ei = np.zeros(5)
-            ei[i] = h
-            ej = np.zeros(5)
-            ej[j] = h
-            cross = (_coeff_stack(ac, P + ei + ej)
-                     - _coeff_stack(ac, P + ei - ej)
-                     - _coeff_stack(ac, P - ei + ej)
-                     + _coeff_stack(ac, P - ei - ej)) / (4 * h ** 2)
-            d2 = np.maximum(d2, np.max(np.abs(cross), axis=0))
+    d1 = np.max(np.abs(fp - fm), axis=(0, 1)) / (2 * h)
+    cross = (corners[0::4] - corners[1::4] - corners[2::4]
+             + corners[3::4]) / (4 * h ** 2)
+    d2 = np.maximum(np.max(np.abs(fp + fm - 2 * base), axis=(0, 1)) / h ** 2,
+                    np.max(np.abs(cross), axis=(0, 1)))
     c2 = val + d1 + d2                      # per coefficient (s, b, g, d, e)
     beta_c2 = float(c2[1])
     A_c2 = float(max(c2[0], c2[2], c2[4]))  # entries of A deviate by these
@@ -600,6 +588,8 @@ def psi_invert(Q: np.ndarray, Y: PlaneChart, acs: ACSField,
     Q = np.asarray(Q, dtype=float)
     if max(abs(Q[0]), abs(Q[3])) > 1e-9:
         raise ValueError("target point is not on the spine")
+    if cfg.psi_max_iter < 1:
+        raise ValueError("psi_max_iter must be at least 1")
     P = Q.copy()
     P[0] = 0.0
     P[3] = 0.0

@@ -3,8 +3,8 @@ import pytest
 
 from contactfive.charts import chart_of_plane
 from contactfive.contact import ContactParams
-from contactfive.lift import (GridFunction, LIFT_TOL_FACTOR,
-                              closedness_residual, exact_patch,
+from contactfive.lift import (GridFunction, LIFT_TOL_FACTOR, _derivative,
+                              _derivative2, closedness_residual, exact_patch,
                               lagrangian_graph, legendrian_lift,
                               legendrian_residual, lift_path_independence,
                               patch_from_potential, tangent_plane)
@@ -39,6 +39,20 @@ def test_grid_derivatives_exact_on_quadratics():
     assert np.max(np.abs((f.f11() - 1.0)[inner])) < 1e-9
     assert np.max(np.abs((f.f22() - 1.0)[inner])) < 1e-9
     assert np.max(np.abs(f.f12()[inner])) < 1e-9
+
+
+def test_memoized_derivatives_are_fresh_and_read_only():
+    f = GridFunction.from_callable(lambda x, y: np.sin(2 * x + y) * x, n=33)
+    v, m, h = f.values, f.mask, f.h
+    fresh = {"f1": _derivative(v, m, h, 0), "f2": _derivative(v, m, h, 1),
+             "f11": _derivative2(v, m, h, 0), "f22": _derivative2(v, m, h, 1),
+             "f12": _derivative(_derivative(v, m, h, 0), m, h, 1)}
+    for name, expected in fresh.items():
+        got = getattr(f, name)()
+        assert getattr(f, name)() is got
+        assert np.array_equal(got, expected)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
 
 def test_lagrangian_graph_layout():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from contactfive.acs import (constant_field, dilate_field, j_matrices,
                              sin_beta_field, standard_field)
 from contactfive.charts import PlaneChart, plane_vector_from_chart
 from contactfive.contact import ContactParams
 from contactfive.solver import (ContractionError, EllipticOperator,
-                                SolverConfig, adapt_chart, choose_dilation,
-                                get_operator, picard_solve, psi, psi_invert,
+                                OP_CACHE_SIZE, SolverConfig, _OP_CACHE,
+                                adapt_chart, choose_dilation, get_operator,
+                                picard_solve, psi, psi_invert,
                                 smallness_report, solve_disk)
 
 
@@ -38,6 +40,97 @@ def test_laplacian_inverse_norm():
     op = get_operator(65, 1.0, 0.0, 1.0)
     assert op.N == pytest.approx(0.25, abs=0.01)
     assert get_operator(65, 1.0, 0.0, 1.0) is op     # cached
+
+
+def test_operator_cache_is_bounded_lru():
+    keys = [(17, 1.0 + 0.01 * k, 0.0, 1.0) for k in range(OP_CACHE_SIZE + 2)]
+    ops = [get_operator(*key) for key in keys[:OP_CACHE_SIZE]]
+    assert get_operator(*keys[0]) is ops[0]     # hit: now most recent
+    for key in keys[OP_CACHE_SIZE:]:
+        get_operator(*key)
+    assert len(_OP_CACHE) == OP_CACHE_SIZE
+    assert get_operator(*keys[0]) is ops[0]     # recently used: kept
+    assert get_operator(*keys[1]) is not ops[1]  # least recently used: out
+    # a key reused at distance 2 is still cached
+    op = get_operator(*keys[-2])
+    get_operator(*keys[-1])
+    assert get_operator(*keys[-2]) is op
+    assert len(_OP_CACHE) == OP_CACHE_SIZE
+
+
+def _loop_assembly(n, e0, sigma0, gamma0):
+    """Node-by-node Shortley-Weller assembly, the reference for the
+    vectorized one."""
+    xs = np.linspace(-1.0, 1.0, n)
+    h = 2.0 / (n - 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    interior = X ** 2 + Y ** 2 < 1.0 - 1e-12
+    index = np.full((n, n), -1, dtype=int)
+    index[interior] = np.arange(int(np.count_nonzero(interior)))
+    rows, cols, data = [], [], []
+
+    def inside(ii, jj):
+        return 0 <= ii < n and 0 <= jj < n and interior[ii, jj]
+
+    def arm(i, j, di, dj):
+        if inside(i + di, j + dj):
+            return h, index[i + di, j + dj]
+        x, y = xs[i], xs[j]
+        if di != 0:
+            cut = np.sqrt(max(1.0 - y * y, 0.0)) - di * x
+        else:
+            cut = np.sqrt(max(1.0 - x * x, 0.0)) - dj * y
+        return float(np.clip(cut, 1e-6 * h, h)), -1
+
+    for i, j in zip(*np.nonzero(interior)):
+        k = index[i, j]
+        diag = 0.0
+        for (di, dj, c) in ((1, 0, e0), (0, 1, gamma0)):
+            hp, kp = arm(i, j, di, dj)
+            hm, km = arm(i, j, -di, -dj)
+            for kk, v in ((kp, c * 2.0 / (hp * (hp + hm))),
+                          (km, c * 2.0 / (hm * (hp + hm)))):
+                if kk >= 0:
+                    rows.append(k)
+                    cols.append(kk)
+                    data.append(v)
+            diag -= c * 2.0 / (hp * hm)
+        rows.append(k)
+        cols.append(k)
+        data.append(diag)
+        if sigma0 != 0.0:
+            for (di, dj, s) in ((1, 1, 1.0), (-1, -1, 1.0),
+                                (1, -1, -1.0), (-1, 1, -1.0)):
+                if inside(i + di, j + dj):
+                    rows.append(k)
+                    cols.append(index[i + di, j + dj])
+                    data.append(2.0 * sigma0 * s / (4.0 * h * h))
+    m = len(np.unique(rows))
+    return csr_matrix((data, (rows, cols)), shape=(m, m))
+
+
+@pytest.mark.parametrize("n, e0, s0, g0", [(25, 1.0, 0.0, 1.0),
+                                           (65, 1.1, 0.3, 0.9),
+                                           (129, 0.97, -0.2, 1.2)])
+def test_operator_matches_loop_assembly(n, e0, s0, g0):
+    A = EllipticOperator(n, e0, s0, g0)._matrix
+    B = _loop_assembly(n, e0, s0, g0)
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)        # bitwise
+
+
+def test_operator_exact_on_quadratic():
+    # Shortley-Weller arms are exact on quadratics vanishing on the
+    # circle: L(1 - x^2 - y^2) = -2 (e0 + gamma0) at every interior node
+    for n, e0, g0 in ((25, 1.0, 1.0), (65, 1.1, 0.9), (129, 0.97, 1.2)):
+        op = EllipticOperator(n, e0, 0.0, g0)
+        xs = np.linspace(-1, 1, n)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        u = (1 - X ** 2 - Y ** 2)[op.interior]
+        Lu = op._matrix @ u
+        assert np.max(np.abs(Lu + 2.0 * (e0 + g0))) < 1e-10
 
 
 def test_cross_term_operator():
@@ -136,6 +229,46 @@ def test_smallness_report_fields():
     assert rep["ball_radius"] > 0
 
 
+def _loop_smallness_c2(ac, cfg):
+    """(value, first, second) difference maxima of the coefficients, one
+    evaluation per shifted sample set: the reference for the batched
+    evaluation in smallness_report."""
+    rng = np.random.default_rng(cfg.seed)
+    v = rng.normal(size=(cfg.smallness_samples, 5))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    P = 1.05 * rng.uniform(size=(cfg.smallness_samples, 1)) ** 0.2 * v
+    P = np.concatenate([P, np.zeros((1, 5))], axis=0)
+    h = cfg.smallness_fd_h
+    E = h * np.eye(5)
+
+    def c(Q):
+        return np.stack(ac.coeff_arrays(Q), axis=-1)
+
+    base = c(P)
+    val = np.max(np.abs(base - c(np.zeros(5))), axis=0)
+    d1, d2 = np.zeros(5), np.zeros(5)
+    for i in range(5):
+        fp, fm = c(P + E[i]), c(P - E[i])
+        d1 = np.maximum(d1, np.max(np.abs(fp - fm), axis=0) / (2 * h))
+        d2 = np.maximum(d2, np.max(np.abs(fp + fm - 2 * base), axis=0)
+                        / h ** 2)
+        for j in range(i + 1, 5):
+            cross = (c(P + E[i] + E[j]) - c(P + E[i] - E[j])
+                     - c(P - E[i] + E[j]) + c(P - E[i] - E[j])) / (4 * h ** 2)
+            d2 = np.maximum(d2, np.max(np.abs(cross), axis=0))
+    return val + d1 + d2
+
+
+def test_smallness_report_matches_loop_evaluation():
+    ac = adapt_chart(np.array([0.1, 0.0, -0.1, 0.05, 0.0]),
+                     np.array([1.0, 0.3, 0.0, 0.2]), sin_beta_field(0.3))
+    cfg = SolverConfig(n=33)
+    rep = smallness_report(ac, 0.25, cfg)
+    c2 = _loop_smallness_c2(ac, cfg)
+    assert rep["beta_c2"] == c2[1]
+    assert rep["A_c2"] == max(c2[0], c2[2], c2[4])
+
+
 def test_contraction_error_on_rough_field():
     # far outside the smallness regime the iteration must either abort
     # or report non-contracting ratios instead of pretending success
@@ -162,6 +295,12 @@ def test_psi_requires_spine_point():
     with pytest.raises(ValueError):
         psi_invert(np.array([0.0, 0, 0, 0.5, 0]), PlaneChart(0.0),
                    standard_field())
+
+
+def test_psi_invert_needs_an_iteration():
+    with pytest.raises(ValueError, match="psi_max_iter"):
+        psi_invert(np.zeros(5), PlaneChart(0.0), standard_field(),
+                   SolverConfig(n=33, psi_max_iter=0))
 
 
 def test_psi_invert_roundtrip():
