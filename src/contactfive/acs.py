@@ -13,6 +13,7 @@ the four scalar coefficients with gamma != 0.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .charts import GAMMA_SWAP, Chart5
-from .contact import DALPHA_MATRIX, ContactParams, lift_vector
+from .contact import DALPHA_MATRIX
 from .forms import CheckReport, JMatrix
 
 FD_H = 1e-5
@@ -54,11 +55,6 @@ class ScalarField5:
             out = np.broadcast_to(out, batch).copy()
         return out if batch else float(out)
 
-    def _shift(self, p, i, s):
-        q = np.array(p, dtype=float, copy=True)
-        q[..., i] += s
-        return q
-
     def grad(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if self.grads is not None:
@@ -66,10 +62,7 @@ class ScalarField5:
             out = [np.broadcast_to(np.asarray(g(*comps), dtype=float),
                                    p.shape[:-1]) for g in self.grads]
             return np.stack(out, axis=-1)
-        h = self.h
-        cols = [(self(self._shift(p, i, h)) - self(self._shift(p, i, -h)))
-                / (2 * h) for i in range(5)]
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+        return np.moveaxis(c2_differences(self, p, self.h)[1], 0, -1)
 
     def hess(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -82,19 +75,12 @@ class ScalarField5:
                 H[..., i, j] = val
                 H[..., j, i] = val
             return H
-        h = self.h
-        f0 = self(p)
+        _, _, d2, cross = c2_differences(self, p, self.h)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         for i in range(5):
-            H[..., i, i] = (self(self._shift(p, i, h)) + self(self._shift(p, i, -h))
-                            - 2 * np.asarray(f0)) / h ** 2
-            for j in range(i + 1, 5):
-                pp = self(self._shift(self._shift(p, i, h), j, h))
-                pm = self(self._shift(self._shift(p, i, h), j, -h))
-                mp = self(self._shift(self._shift(p, i, -h), j, h))
-                mm = self(self._shift(self._shift(p, i, -h), j, -h))
-                val = (pp - pm - mp + mm) / (4 * h ** 2)
-                H[..., i, j] = val
-                H[..., j, i] = val
+            H[..., i, i] = d2[i]
+        for (i, j), val in zip(pairs, cross):
+            H[..., i, j] = H[..., j, i] = val
         return H
 
     @staticmethod
@@ -213,16 +199,6 @@ def j_matrix(acs: ACSField, p: np.ndarray) -> JMatrix:
     return JMatrix(j_matrices(acs, p))
 
 
-def extended_j_matrix(acs: ACSField, p: np.ndarray,
-                      params: ContactParams = ContactParams()) -> np.ndarray:
-    """5x5 extension with J(Reeb) = 0, acting on ambient vectors at p."""
-    p = np.asarray(p, dtype=float)
-    m4 = j_matrices(acs, p)
-    cols = [lift_vector(p[:4], p[4], m4[:, k], params) for k in range(4)]
-    cols.append(np.zeros(5))
-    return np.stack(cols, axis=-1)
-
-
 def _sample_ball(rng: np.random.Generator, n: int, dim: int,
                  radius: float) -> np.ndarray:
     v = rng.normal(size=(n, dim))
@@ -263,6 +239,14 @@ def check_identities(field, n_samples: int = 1000,
     return rep
 
 
+def chart_j_matrices(acs: ACSField, chart: Chart5,
+                     P: np.ndarray) -> np.ndarray:
+    """J in chart coordinates, R^-1 J(E(P)) R, at a batch of chart
+    points P."""
+    R = chart.rot
+    return np.linalg.inv(R) @ j_matrices(acs, chart.to_ambient(P)) @ R
+
+
 def pullback_acs(acs: ACSField, chart: Chart5,
                  rho: float | None = None) -> ACSField:
     """Field in chart coordinates: J'(q) = R^-1 J(E(q)) R.
@@ -271,16 +255,10 @@ def pullback_acs(acs: ACSField, chart: Chart5,
     matrix then stays in the coefficient model (spot-check with
     pullback_consistency).
     """
-    R = chart.rot
-    Rinv = np.linalg.inv(R)
-
-    def conjugated(P: np.ndarray) -> np.ndarray:
-        return Rinv @ j_matrices(acs, chart.to_ambient(P)) @ R
-
     def coeff_func(row: int, col: int):
         def f(*comps):
             P = np.stack(np.broadcast_arrays(*comps), axis=-1)
-            return conjugated(P)[..., row, col]
+            return chart_j_matrices(acs, chart, P)[..., row, col]
         return f
 
     if rho is None:
@@ -301,8 +279,7 @@ def pullback_consistency(acs: ACSField, chart: Chart5, n_samples: int = 64,
     """Max deviation of the conjugated matrices from the model pattern."""
     rng = rng or np.random.default_rng(0)
     P = _sample_ball(rng, n_samples, 5, radius)
-    amb = chart.to_ambient(P)
-    M = np.linalg.inv(chart.rot) @ j_matrices(acs, amb) @ chart.rot
+    M = chart_j_matrices(acs, chart, P)
     s, b, g, d = M[:, 0, 0], M[:, 2, 0], M[:, 3, 0], M[:, 0, 2]
     return float(np.max(np.abs(j_matrix_from_coeffs(s, b, g, d) - M)))
 
@@ -361,41 +338,25 @@ def gamma_fallback(acs: ACSField, n_samples: int = 256,
     return swapped, chart
 
 
-def _matrix_c2_surrogate(acs: ACSField, P: np.ndarray, M0: np.ndarray,
-                         h: float = FD_H) -> np.ndarray:
-    """Per-sample ||J - J0|| + ||DJ|| + ||D^2 J|| (Frobenius, FD in the
-    five coordinates)."""
-    M = j_matrices(acs, P)
-    val = np.linalg.norm((M - M0).reshape(M.shape[:-2] + (16,)), axis=-1)
-    d1 = np.zeros(P.shape[0])
-    d2 = np.zeros(P.shape[0])
-    Mp, Mm = [], []
-    for i in range(5):
-        ei = np.zeros(5)
-        ei[i] = h
-        a = j_matrices(acs, P + ei)
-        b = j_matrices(acs, P - ei)
-        Mp.append(a)
-        Mm.append(b)
-        g = (a - b) / (2 * h)
-        d1 = np.maximum(d1, np.linalg.norm(g.reshape(g.shape[:-2] + (16,)),
-                                           axis=-1))
-        s = (a + b - 2 * M) / h ** 2
-        d2 = np.maximum(d2, np.linalg.norm(s.reshape(s.shape[:-2] + (16,)),
-                                           axis=-1))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            ei = np.zeros(5)
-            ei[i] = h
-            ej = np.zeros(5)
-            ej[j] = h
-            cross = (j_matrices(acs, P + ei + ej) - j_matrices(acs, P + ei - ej)
-                     - j_matrices(acs, P - ei + ej)
-                     + j_matrices(acs, P - ei - ej)) / (4 * h ** 2)
-            d2 = np.maximum(
-                d2, np.linalg.norm(cross.reshape(cross.shape[:-2] + (16,)),
-                                   axis=-1))
-    return val + d1 + d2
+def c2_differences(fn: Callable, P: np.ndarray, h: float):
+    """Central differences of a batched function of points in R^5 at the
+    samples P, from one evaluation on every shifted sample set.
+
+    Returns (base, d1, d2, cross): the values at P, the first and the
+    pure second differences along each coordinate (leading axis 5) and
+    the mixed second differences of each pair i < j (leading axis 10).
+    """
+    P = np.asarray(P, dtype=float)
+    E = h * np.eye(5)
+    # P, then P +- e_i for each i, then the four corners P +- e_i +- e_j
+    shifts = [np.zeros(5)] + [s * E[i] for i in range(5) for s in (1, -1)]
+    shifts += [si * E[i] + sj * E[j] for i in range(5)
+               for j in range(i + 1, 5) for si in (1, -1) for sj in (1, -1)]
+    stack = fn(P + np.reshape(shifts, (-1,) + (1,) * (P.ndim - 1) + (5,)))
+    base, fp, fm, corners = stack[0], stack[1:11:2], stack[2:11:2], stack[11:]
+    cross = (corners[0::4] - corners[1::4] - corners[2::4]
+             + corners[3::4]) / (4 * h ** 2)
+    return base, (fp - fm) / (2 * h), (fp + fm - 2 * base) / h ** 2, cross
 
 
 def epsilon_estimate(acs: ACSField, r: float, n_samples: int = 128,
@@ -407,8 +368,17 @@ def epsilon_estimate(acs: ACSField, r: float, n_samples: int = 128,
     rng = rng or np.random.default_rng(0)
     P = _sample_ball(rng, n_samples, 5, r)
     P = np.concatenate([P, np.zeros((1, 5))], axis=0)
-    M0 = j_matrices(acs, np.zeros(5))
-    return float(r * np.max(_matrix_c2_surrogate(acs, P, M0)))
+    base, d1, d2, cross = c2_differences(lambda Q: j_matrices(acs, Q), P,
+                                         FD_H)
+
+    def frobenius(M):
+        return np.linalg.norm(M.reshape(M.shape[:-2] + (16,)), axis=-1)
+
+    c2 = (frobenius(base - j_matrices(acs, np.zeros(5)))
+          + np.max(frobenius(d1), axis=0)
+          + np.maximum(np.max(frobenius(d2), axis=0),
+                       np.max(frobenius(cross), axis=0)))
+    return float(r * np.max(c2))
 
 
 def dilate_field(acs: ACSField, r: float) -> ACSField:
@@ -432,7 +402,7 @@ def corrupted_matrix_field(acs: ACSField, amount: float = 0.1):
     return field
 
 
-def standard_field(**_ignored) -> ACSField:
+def standard_field() -> ACSField:
     return ACSField(sigma=ScalarField5.constant(0.0),
                     beta=ScalarField5.constant(0.0),
                     gamma=ScalarField5.constant(1.0),
@@ -483,11 +453,22 @@ BUILTIN_FIELDS = {
 def field_from_spec(spec: dict) -> ACSField:
     """Build a field from {"builtin": name, "params": {...}} or
     {"coeffs": {"sigma": expr, "beta": expr, "gamma": expr, "delta": expr}}."""
+    if not isinstance(spec, dict):
+        raise ValueError("field spec must be a JSON object")
     if "builtin" in spec:
         name = spec["builtin"]
         if name not in BUILTIN_FIELDS:
             raise ValueError(f"unknown builtin field: {name}")
-        return BUILTIN_FIELDS[name](**spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in params.values()):
+            raise ValueError("field params must be an object of numbers")
+        try:
+            inspect.signature(BUILTIN_FIELDS[name]).bind(**params)
+        except TypeError as exc:
+            raise ValueError(f"field {name}: {exc}") from None
+        return BUILTIN_FIELDS[name](**params)
     if "coeffs" in spec:
         c = spec["coeffs"]
         missing = {"sigma", "beta", "gamma", "delta"} - set(c)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .acs import ACSField, j_matrices
 from .charts import PlaneChart, adapted_direction, chart_of_plane_j
-from .lift import LegendrianPatch, _bilinear
-from .solver import (ContractionError, DiskSolution, InverseResult,
-                     SolverConfig, psi_invert)
+from .lift import LegendrianPatch, patch_newton
+from .solver import ContractionError, InverseResult, SolverConfig, psi_invert
 
 LOOKUP_TOL = 1e-8
 LOOKUP_MAX_ITER = 25
@@ -50,39 +49,6 @@ def _leaf_disk(acs: ACSField, cfg: SolverConfig, zeta_P: complex,
     return psi_invert(Q, Y, acs, cfg)
 
 
-def _slice_point(patch: LegendrianPatch, z_target: complex,
-                 newton_tol: float = 1e-12, max_iter: int = 40):
-    """Point of an ambient patch with z-coordinate z_target, by Newton
-    on the interpolated (x1, y2) grids; returns (point5, (a, b), res)."""
-    mask = patch.mask
-    radius = patch.radius
-    g1 = np.where(mask, patch.points[..., 0], 0.0)
-    g2 = np.where(mask, patch.points[..., 3], 0.0)
-    from .lift import GridFunction
-    G1 = GridFunction(g1, radius, mask.copy())
-    G2 = GridFunction(g2, radius, mask.copy())
-    grads = (G1.f1(), G1.f2(), G2.f1(), G2.f2())
-    target = np.array([z_target.real, z_target.imag])
-    z = np.zeros(2)
-    res = np.inf
-    for _ in range(max_iter):
-        F = np.array([float(G1.interp(z[0], z[1])),
-                      float(G2.interp(z[0], z[1]))]) - target
-        res = float(np.max(np.abs(F)))
-        if res <= newton_tol:
-            break
-        Jac = np.array(
-            [[float(_bilinear(grads[0], radius, z[0], z[1])),
-              float(_bilinear(grads[1], radius, z[0], z[1]))],
-             [float(_bilinear(grads[2], radius, z[0], z[1])),
-              float(_bilinear(grads[3], radius, z[0], z[1]))]])
-        z = z - np.linalg.solve(Jac, F)
-        nz = np.linalg.norm(z)
-        if nz > 0.95 * radius:
-            z *= 0.95 * radius / nz
-    return patch.interp_point(z[0], z[1]), z, res
-
-
 def _stack_point(acs: ACSField, cfg: SolverConfig, zeta_P: complex,
                  V: np.ndarray, z_q: complex, t_q: float):
     """Point of the leaf stack through zeta_P on the slice
@@ -94,7 +60,9 @@ def _stack_point(acs: ACSField, cfg: SolverConfig, zeta_P: complex,
     for _ in range(12):
         inv = _leaf_disk(acs, cfg, zeta_P, t, V)
         patch = inv.value.solution.ambient_patch()
-        point, _, _ = _slice_point(patch, z_q)
+        z, _ = patch_newton(patch.points, patch.mask, patch.radius,
+                            (z_q.real, z_q.imag))
+        point = patch.interp_point(z[0], z[1])
         g = point[4] - t_q
         if abs(g) <= T_SOLVE_TOL:
             break
@@ -244,6 +212,8 @@ def build_leaf(kind: str, acs: ACSField, X: PlaneChart,
         raise ValueError("kind must be 'polar' or 'parallel'")
     if kind == "polar" and zeta_P != 0.0:
         raise ValueError("polar leaves are based at 0")
+    if t_count < 2:
+        raise ValueError("a leaf needs t_count >= 2 disks")
     V = adapted_direction(X)
     t_nodes = np.linspace(-t_max, t_max, t_count)
     disks, patches = [], []

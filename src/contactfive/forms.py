@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contact import DALPHA_MATRIX, standard_I_matrix
+
 ALG_TOL = 1e-12      # algebraic identities, exact up to rounding
 HYP_TOL = 1e-8       # semi-calibration hypothesis checks
 
@@ -188,18 +190,6 @@ def j_from_form(w: Form2H) -> tuple[float, JMatrix]:
     return theta, rotation_j(theta)
 
 
-STD_I = np.array([[0.0, -1.0, 0.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, -1.0],
-                  [0.0, 0.0, 1.0, 0.0]])
-
-# matrix of dalpha = e12 + e34: dalpha(u, v) = u @ S @ v
-S_DALPHA = np.array([[0.0, 1.0, 0.0, 0.0],
-                     [-1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0],
-                     [0.0, 0.0, -1.0, 0.0]])
-
-
 def omega_from_J(J: JMatrix) -> Form2H:
     """Compatible 2-form Omega(X, Y) = dalpha(X, (J I - I J) Y / 2).
 
@@ -208,11 +198,12 @@ def omega_from_J(J: JMatrix) -> Form2H:
     """
     m = J.m
     # dalpha(J v, v) = 0 for all v <=> J'S antisymmetric
-    M = m.T @ S_DALPHA
+    M = m.T @ DALPHA_MATRIX
     if np.max(np.abs(M + M.T)) > 1e-10:
         raise ValueError("J is not anti-compatible with dalpha")
-    K = 0.5 * (m @ STD_I - STD_I @ m)
-    W = S_DALPHA @ K
+    Istd = standard_I_matrix()
+    K = 0.5 * (m @ Istd - Istd @ m)
+    W = DALPHA_MATRIX @ K
     if np.max(np.abs(W + W.T)) > 1e-10:
         raise ValueError("constructed form is not skew; J fails its invariants")
     return Form2H.from_matrix(0.5 * (W - W.T))

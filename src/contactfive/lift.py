@@ -15,101 +15,78 @@ from pathlib import Path
 import numpy as np
 
 from .charts import PlaneChart, chart_of_plane
-from .contact import ContactParams, alpha_eval, lift_vector
+from .contact import ContactParams, lift_vector
 
 DEFAULT_N = 65
 LIFT_TOL_FACTOR = 10.0  # discretization tolerances are 10 h^2
+NEWTON_TOL = 1e-12      # patch Newton: sup of the coordinate residual
+NEWTON_MAX_ITER = 40
+
+
+# Difference stencil tables.  A table is (order, rules); a rule
+# (offsets, coefficients, denominator) gives the derivative of that order
+# along one axis as sum_k c_k v[i + k] / (denominator h^order).  At each
+# node the first rule whose whole support lies in the mask applies.
+D1 = (1, (((1, -1), (1, -1), 2),                 # central
+          ((0, 1, 2), (-3, 4, -1), 2),           # one-sided, second order
+          ((0, -1, -2), (3, -4, 1), 2),
+          ((1, 0), (1, -1), 1),                  # one-sided, first order
+          ((0, -1), (1, -1), 1)))
+D2 = (2, (((1, 0, -1), (1, -2, 1), 1),
+          ((0, 1, 2, 3), (2, -5, 4, -1), 1),
+          ((0, -1, -2, -3), (2, -5, 4, -1), 1),
+          ((0, 1, 2), (1, -2, 1), 1),
+          ((0, -1, -2), (1, -2, 1), 1)))
+# fourth-order central stencils only: nodes without the full 5-point
+# support are left out of the returned validity mask
+D1_CENTRAL4 = (1, (((-2, -1, 1, 2), (1, -8, 8, -1), 12),))
+D2_CENTRAL4 = (2, (((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1), 12),))
+
+
+def stencil(values: np.ndarray, mask: np.ndarray, h: float, axis: int,
+            table) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative along one axis on a masked grid by a stencil table;
+    returns the grid (zero where no rule applies) and the nodes where a
+    rule applied."""
+    order, rules = table
+    n = values.shape[axis]
+    reach = max(abs(k) for offsets, _, _ in rules for k in offsets)
+    pad = [(reach, reach) if a == axis else (0, 0) for a in range(values.ndim)]
+    v = np.pad(np.where(mask, values, 0.0), pad)   # zero off the grid
+    m = np.pad(mask, pad)
+
+    def shifted(a, k):
+        return a[(slice(None),) * axis + (slice(reach + k, reach + k + n),)]
+
+    out = np.zeros(values.shape)
+    todo = mask.copy()
+    for offsets, coefficients, denominator in rules:
+        for _ in range(order):
+            denominator = denominator * h
+        use = todo.copy()
+        for k in offsets:
+            use &= shifted(m, k)
+        if not use.any():
+            continue
+        acc = coefficients[0] * shifted(v, offsets[0])[use]
+        for k, c in zip(offsets[1:], coefficients[1:]):
+            acc = acc + c * shifted(v, k)[use]
+        out[use] = acc / denominator
+        todo &= ~use
+    return out, mask & ~todo
 
 
 def _derivative(values: np.ndarray, mask: np.ndarray, h: float,
                 axis: int) -> np.ndarray:
     """First derivative on a masked grid: central where possible,
     one-sided second order near the mask boundary."""
-    v = np.where(mask, values, 0.0)
-    m = mask
-
-    def sh(a, k):
-        return np.roll(a, -k, axis=axis)
-
-    vp1, vm1 = sh(v, 1), sh(v, -1)
-    vp2, vm2 = sh(v, 2), sh(v, -2)
-    mp1, mm1 = sh(m, 1), sh(m, -1)
-    mp2, mm2 = sh(m, 2), sh(m, -2)
-    # np.roll wraps; kill wrapped entries
-    n = values.shape[axis]
-    idx = np.arange(n)
-    shape = [1, 1]
-    shape[axis] = n
-    idx = idx.reshape(shape)
-    mp1 = mp1 & (idx < n - 1)
-    mp2 = mp2 & (idx < n - 2)
-    mm1 = mm1 & (idx > 0)
-    mm2 = mm2 & (idx > 1)
-
-    central = (vp1 - vm1) / (2 * h)
-    fwd2 = (-3 * v + 4 * vp1 - vp2) / (2 * h)
-    bwd2 = (3 * v - 4 * vm1 + vm2) / (2 * h)
-    fwd1 = (vp1 - v) / h
-    bwd1 = (v - vm1) / h
-
-    out = np.zeros_like(v)
-    use_c = m & mp1 & mm1
-    use_f2 = m & ~use_c & mp1 & mp2
-    use_b2 = m & ~use_c & ~use_f2 & mm1 & mm2
-    use_f1 = m & ~use_c & ~use_f2 & ~use_b2 & mp1
-    use_b1 = m & ~use_c & ~use_f2 & ~use_b2 & ~use_f1 & mm1
-    out[use_c] = central[use_c]
-    out[use_f2] = fwd2[use_f2]
-    out[use_b2] = bwd2[use_b2]
-    out[use_f1] = fwd1[use_f1]
-    out[use_b1] = bwd1[use_b1]
-    return out
+    return stencil(values, mask, h, axis, D1)[0]
 
 
 def _derivative2(values: np.ndarray, mask: np.ndarray, h: float,
                  axis: int) -> np.ndarray:
     """Pure second derivative along one axis on a masked grid."""
-    v = np.where(mask, values, 0.0)
-    m = mask
-
-    def sh(a, k):
-        return np.roll(a, -k, axis=axis)
-
-    n = values.shape[axis]
-    idx = np.arange(n)
-    shape = [1, 1]
-    shape[axis] = n
-    idx = idx.reshape(shape)
-    avail = {}
-    vals = {}
-    for k in (-3, -2, -1, 1, 2, 3):
-        a = sh(m, k)
-        if k > 0:
-            a = a & (idx < n - k)
-        else:
-            a = a & (idx >= -k)
-        avail[k] = a
-        vals[k] = sh(v, k)
-
-    central = (vals[1] - 2 * v + vals[-1]) / h ** 2
-    fwd2 = (2 * v - 5 * vals[1] + 4 * vals[2] - vals[3]) / h ** 2
-    bwd2 = (2 * v - 5 * vals[-1] + 4 * vals[-2] - vals[-3]) / h ** 2
-    fwd1 = (v - 2 * vals[1] + vals[2]) / h ** 2
-    bwd1 = (v - 2 * vals[-1] + vals[-2]) / h ** 2
-
-    out = np.zeros_like(v)
-    use_c = m & avail[1] & avail[-1]
-    use_f2 = m & ~use_c & avail[1] & avail[2] & avail[3]
-    use_b2 = m & ~use_c & ~use_f2 & avail[-1] & avail[-2] & avail[-3]
-    use_f1 = m & ~use_c & ~use_f2 & ~use_b2 & avail[1] & avail[2]
-    use_b1 = (m & ~use_c & ~use_f2 & ~use_b2 & ~use_f1
-              & avail[-1] & avail[-2])
-    out[use_c] = central[use_c]
-    out[use_f2] = fwd2[use_f2]
-    out[use_b2] = bwd2[use_b2]
-    out[use_f1] = fwd1[use_f1]
-    out[use_b1] = bwd1[use_b1]
-    return out
+    return stencil(values, mask, h, axis, D2)[0]
 
 
 @dataclass
@@ -401,6 +378,20 @@ class LegendrianPatch:
             json.dump(self.header(), fh, indent=2, sort_keys=True)
 
 
+def graph_and_lift(f: GridFunction, start: np.ndarray | None = None,
+                   params: ContactParams = ContactParams()):
+    """Lagrangian graph of f, the start point and the 5-point grid of
+    the Legendrian lift through it; start defaults to t = 0 over the
+    center node."""
+    L = lagrangian_graph(f)
+    if start is None:
+        start = np.append(L["points"][f.center], 0.0)
+    start = np.asarray(start, dtype=float)
+    tgrid = legendrian_lift(L, start, params)
+    pts = np.concatenate([L["points"], tgrid.values[..., None]], axis=-1)
+    return L, start, pts
+
+
 def patch_from_potential(f: GridFunction, start: np.ndarray,
                          params: ContactParams = ContactParams()
                          ) -> LegendrianPatch:
@@ -409,10 +400,7 @@ def patch_from_potential(f: GridFunction, start: np.ndarray,
     Tangents are finite differences of the embedded coordinate grids, so
     the residual of alpha on them measures the lift quality honestly.
     """
-    L = lagrangian_graph(f)
-    start = np.asarray(start, dtype=float)
-    tgrid = legendrian_lift(L, start, params)
-    pts = np.concatenate([L["points"], tgrid.values[..., None]], axis=-1)
+    _, start, pts = graph_and_lift(f, start, params)
     mask = f.mask
     h = f.h
     t1 = np.stack([_derivative(pts[..., k], mask, h, 0) for k in range(5)],
@@ -423,18 +411,41 @@ def patch_from_potential(f: GridFunction, start: np.ndarray,
                            radius=f.radius, start=start, params=params)
 
 
-def exact_patch(f: GridFunction, start: np.ndarray,
+def exact_patch(f: GridFunction, start: np.ndarray | None = None,
                 params: ContactParams = ContactParams()) -> LegendrianPatch:
     """Patch whose tangents are the analytic graph tangents lifted to
-    horizontal vectors (alpha vanishes on them exactly)."""
-    L = lagrangian_graph(f)
-    start = np.asarray(start, dtype=float)
-    tgrid = legendrian_lift(L, start, params)
-    pts = np.concatenate([L["points"], tgrid.values[..., None]], axis=-1)
-    t1 = lift_vector(L["points"], tgrid.values, L["t1"], params)
-    t2 = lift_vector(L["points"], tgrid.values, L["t2"], params)
+    horizontal vectors (alpha vanishes on them exactly); start defaults
+    to t = 0 over the center node."""
+    L, start, pts = graph_and_lift(f, start, params)
+    t1 = lift_vector(L["points"], pts[..., 4], L["t1"], params)
+    t2 = lift_vector(L["points"], pts[..., 4], L["t2"], params)
     return LegendrianPatch(points=pts, t1=t1, t2=t2, mask=f.mask.copy(),
                            radius=f.radius, start=start, params=params)
+
+
+def patch_newton(points: np.ndarray, mask: np.ndarray, radius: float,
+                 target=(0.0, 0.0)) -> tuple[np.ndarray, float]:
+    """Parameter z = (x1, y2) at which the bilinearly interpolated
+    (x1, y2) coordinates of a 5-point patch grid equal target: Newton
+    from the center, kept inside 0.95 radius.  Returns (z, residual)."""
+    grids = [GridFunction(np.where(mask, points[..., k], 0.0), radius,
+                          mask.copy()) for k in (0, 3)]
+    grads = [d for g in grids for d in (g.f1(), g.f2())]
+    target = np.asarray(target, dtype=float)
+    z = np.zeros(2)
+    res = np.inf
+    for _ in range(NEWTON_MAX_ITER):
+        F = np.array([float(g.interp(z[0], z[1])) for g in grids]) - target
+        res = float(np.max(np.abs(F)))
+        if res <= NEWTON_TOL:
+            break
+        Jac = np.array([float(_bilinear(d, radius, z[0], z[1]))
+                        for d in grads]).reshape(2, 2)
+        z = z - np.linalg.solve(Jac, F)
+        nz = np.linalg.norm(z)
+        if nz > 0.95 * radius:
+            z *= 0.95 * radius / nz
+    return z, res
 
 
 def legendrian_residual(patch: LegendrianPatch,

@@ -32,12 +32,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
-from .acs import ACSField, dilate_field, j_matrices, j_matrix_from_coeffs
+from .acs import (ACSField, c2_differences, chart_j_matrices, dilate_field,
+                  j_matrices, j_matrix_from_coeffs)
 from .charts import (Chart5, PlaneChart, chart_of_plane_j,
                      plane_vector_from_chart)
-from .contact import ContactParams, standard_I_matrix
-from .lift import (GridFunction, LegendrianPatch, LIFT_TOL_FACTOR, _bilinear,
-                   exact_patch, lagrangian_graph, legendrian_lift)
+from .contact import ContactParams, lift_vector, standard_I_matrix
+from .lift import (D1_CENTRAL4, D2_CENTRAL4, GridFunction, LegendrianPatch,
+                   LIFT_TOL_FACTOR, _bilinear, exact_patch, graph_and_lift,
+                   patch_newton, stencil)
 
 GAMMA0_MIN = 1e-3
 # residuals are measured on this subdisk: outside it the cut-cell
@@ -55,8 +57,6 @@ class SolverConfig:
     tol: float = 1e-10             # sup-norm fixed point tolerance
     max_iter: int = 200
     params: ContactParams = ContactParams()
-    newton_tol: float = 1e-12      # intersection with the spine
-    newton_max_iter: int = 40
     psi_tol: float = 1e-8          # fixed-point inversion of Psi
     psi_max_iter: int = 50
     smallness_samples: int = 32
@@ -79,9 +79,7 @@ class AdaptedChart:
     def coeff_arrays(self, P: np.ndarray):
         """(sigma, beta, gamma, delta, e) of the pulled-back field at a
         batch of chart points, via one conjugation."""
-        R = self.chart.rot
-        amb = self.chart.to_ambient(np.asarray(P, dtype=float))
-        M = np.linalg.inv(R) @ j_matrices(self.acs, amb) @ R
+        M = chart_j_matrices(self.acs, self.chart, P)
         return (M[..., 0, 0], M[..., 2, 0], M[..., 3, 0], M[..., 0, 2],
                 M[..., 2, 1])
 
@@ -237,66 +235,15 @@ def get_operator(n: int, e0: float, sigma0: float, gamma0: float
 # Picard iteration
 
 
-def _lifted_points(f: GridFunction, params: ContactParams):
-    """Lagrangian graph of f, its Legendrian t-grid with t = 0 over the
-    center node, and the stacked 5-point grid."""
-    L = lagrangian_graph(f)
-    start = np.append(L["points"][f.center], 0.0)
-    tgrid = legendrian_lift(L, start, params)
-    pts5 = np.concatenate([L["points"], tgrid.values[..., None]], axis=-1)
-    return L, start, pts5
-
-
 def _rhs_grid(ac: AdaptedChart, f: GridFunction,
               params: ContactParams) -> np.ndarray:
-    _, _, pts5 = _lifted_points(f, params)
+    _, _, pts5 = graph_and_lift(f, None, params)
     s, b, g, d, e = ac.coeff_arrays(pts5)
     f11, f12, f22 = f.f11(), f.f12(), f.f22()
     rhs = (d * (f12 ** 2 - f11 * f22) - b
            - ((e - ac.e0) * f11 + 2.0 * (s - ac.sigma0) * f12
               + (g - ac.gamma0) * f22))
     return np.where(f.mask, rhs, 0.0)
-
-
-def _central4_first(values, mask, h, axis):
-    """Fourth-order first derivative where the full 5-point stencil is
-    inside the mask; returns (grid, validity)."""
-    v = np.where(mask, values, 0.0)
-    n = values.shape[axis]
-    idx = np.arange(n).reshape([n if a == axis else 1 for a in range(2)])
-
-    def sh(a, k):
-        return np.roll(a, -k, axis=axis)
-
-    valid = mask.copy()
-    vals = {}
-    for k in (-2, -1, 1, 2):
-        a = sh(mask, k)
-        a = a & ((idx < n - k) if k > 0 else (idx >= -k))
-        valid &= a
-        vals[k] = sh(v, k)
-    out = (vals[-2] - 8 * vals[-1] + 8 * vals[1] - vals[2]) / (12 * h)
-    return np.where(valid, out, 0.0), valid
-
-
-def _central4_second(values, mask, h, axis):
-    v = np.where(mask, values, 0.0)
-    n = values.shape[axis]
-    idx = np.arange(n).reshape([n if a == axis else 1 for a in range(2)])
-
-    def sh(a, k):
-        return np.roll(a, -k, axis=axis)
-
-    valid = mask.copy()
-    vals = {}
-    for k in (-2, -1, 1, 2):
-        a = sh(mask, k)
-        a = a & ((idx < n - k) if k > 0 else (idx >= -k))
-        valid &= a
-        vals[k] = sh(v, k)
-    out = (-vals[-2] + 16 * vals[-1] - 30 * v + 16 * vals[1]
-           - vals[2]) / (12 * h * h)
-    return np.where(valid, out, 0.0), valid
 
 
 @dataclass
@@ -317,8 +264,6 @@ class DiskSolution:
     eq_residual: float             # 4th-order interior measurement
     eq_residual_nodes: int
     jinv_residual: float
-    lambda_grid: np.ndarray
-    mu_grid: np.ndarray
     smallness: dict
     N: float
     patch: LegendrianPatch = dc_field(repr=False, default=None)
@@ -337,10 +282,9 @@ class DiskSolution:
         R = ch.rot
 
         def push(tg):
-            h4 = np.einsum("ij,...j->...i", R, tg[..., :4])
-            r = ch.params.r
-            t5 = r * (pts[..., 1] * h4[..., 0] + pts[..., 3] * h4[..., 2])
-            return np.concatenate([h4, t5[..., None]], axis=-1)
+            return lift_vector(pts[..., :4], pts[..., 4],
+                               np.einsum("ij,...j->...i", R, tg[..., :4]),
+                               ch.params)
 
         return LegendrianPatch(points=pts, t1=push(self.patch.t1),
                                t2=push(self.patch.t2),
@@ -387,23 +331,12 @@ def smallness_report(ac: AdaptedChart, N: float, cfg: SolverConfig) -> dict:
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     P = 1.05 * rng.uniform(size=(m, 1)) ** 0.2 * v
     P = np.concatenate([P, np.zeros((1, 5))], axis=0)
-    h = cfg.smallness_fd_h
-    E = h * np.eye(5)
-    # all sample sets in one evaluation: P, then P +- e_i for each i,
-    # then the four corners P +- e_i +- e_j of every cross difference
-    shifts = [np.zeros(5)] + [s * E[i] for i in range(5) for s in (1, -1)]
-    shifts += [si * E[i] + sj * E[j] for i in range(5)
-               for j in range(i + 1, 5) for si in (1, -1) for sj in (1, -1)]
-    stack = _coeff_stack(ac, P + np.array(shifts)[:, None, :])
-    base, fp, fm, corners = stack[0], stack[1:11:2], stack[2:11:2], stack[11:]
-    c0 = _coeff_stack(ac, np.zeros(5))
-    val = np.max(np.abs(base - c0), axis=0)
-    d1 = np.max(np.abs(fp - fm), axis=(0, 1)) / (2 * h)
-    cross = (corners[0::4] - corners[1::4] - corners[2::4]
-             + corners[3::4]) / (4 * h ** 2)
-    d2 = np.maximum(np.max(np.abs(fp + fm - 2 * base), axis=(0, 1)) / h ** 2,
+    base, d1, d2, cross = c2_differences(lambda Q: _coeff_stack(ac, Q), P,
+                                         cfg.smallness_fd_h)
+    val = np.max(np.abs(base - _coeff_stack(ac, np.zeros(5))), axis=0)
+    d2 = np.maximum(np.max(np.abs(d2), axis=(0, 1)),
                     np.max(np.abs(cross), axis=(0, 1)))
-    c2 = val + d1 + d2                      # per coefficient (s, b, g, d, e)
+    c2 = val + np.max(np.abs(d1), axis=(0, 1)) + d2   # per (s, b, g, d, e)
     beta_c2 = float(c2[1])
     A_c2 = float(max(c2[0], c2[2], c2[4]))  # entries of A deviate by these
     scale = max(1.0, abs(ac.delta0))
@@ -463,20 +396,16 @@ def picard_solve(ac: AdaptedChart, cfg: SolverConfig = SolverConfig()
 
 def _with_diagnostics(ac, f, cfg, iterations, converged, diffs, ratios,
                       lin_res, small, N) -> DiskSolution:
-    params = cfg.params
-    _, start, pts5 = _lifted_points(f, params)
-    s, b, g, d, e = ac.coeff_arrays(pts5)
-    f11, f12, f22 = f.f11(), f.f12(), f.f22()
-    lam = g - 1.0 + d * f11
-    mu = s - d * f12
+    patch = exact_patch(f, None, cfg.params)
+    s, b, g, d, e = ac.coeff_arrays(patch.points)
 
     # independent 4th-order stencils on the measurement subdisk
     h = f.h
     X, Y = f.meshgrid()
-    f11_4, v11 = _central4_second(f.values, f.mask, h, 0)
-    f22_4, v22 = _central4_second(f.values, f.mask, h, 1)
-    g1, v1 = _central4_first(f.values, f.mask, h, 0)
-    f12_4, v12 = _central4_first(g1, v1, h, 1)
+    f11_4, v11 = stencil(f.values, f.mask, h, 0, D2_CENTRAL4)
+    f22_4, v22 = stencil(f.values, f.mask, h, 1, D2_CENTRAL4)
+    g1, v1 = stencil(f.values, f.mask, h, 0, D1_CENTRAL4)
+    f12_4, v12 = stencil(g1, v1, h, 1, D1_CENTRAL4)
     valid = v11 & v22 & v12 & (X ** 2 + Y ** 2 <= EQ_MEASURE_RADIUS ** 2)
     eq = (e * f11_4 + 2.0 * s * f12_4 + g * f22_4
           + d * (f11_4 * f22_4 - f12_4 ** 2) + b)
@@ -485,22 +414,19 @@ def _with_diagnostics(ac, f, cfg, iterations, converged, diffs, ratios,
     lam4 = g - 1.0 + d * f11_4
     mu4 = s - d * f12_4
     M = j_matrix_from_coeffs(s, b, g, d, e)
-    ones = np.ones_like(f11)
-    zeros = np.zeros_like(f11)
+    ones = np.ones_like(f11_4)
+    zeros = np.zeros_like(f11_4)
     T1 = np.stack([ones, f11_4, -f12_4, zeros], axis=-1)
     T2 = np.stack([zeros, f12_4, -f22_4, ones], axis=-1)
     res_vec = (np.einsum("...ij,...j->...i", M, T1)
                - mu4[..., None] * T1 - (1.0 + lam4)[..., None] * T2)
     jinv = (float(np.max(np.abs(res_vec[valid])))
             if np.any(valid) else 0.0)
-
-    patch = exact_patch(f, start, params)
     return DiskSolution(f=f, adapted=ac, config=cfg, iterations=iterations,
                         converged=converged, diffs=diffs, ratios=ratios,
                         linear_residual=lin_res, eq_residual=eq_res,
                         eq_residual_nodes=int(np.count_nonzero(valid)),
-                        jinv_residual=jinv, lambda_grid=lam, mu_grid=mu,
-                        smallness=small, N=N, patch=patch)
+                        jinv_residual=jinv, smallness=small, N=N, patch=patch)
 
 
 def solve_disk(p: np.ndarray, direction: np.ndarray, acs: ACSField,
@@ -539,26 +465,7 @@ def psi(P: np.ndarray, X: PlaneChart, acs: ACSField,
 
     mask = sol.f.mask
     radius = sol.f.radius
-    g1 = GridFunction(np.where(mask, pts[..., 0], 0.0), radius, mask.copy())
-    g2 = GridFunction(np.where(mask, pts[..., 3], 0.0), radius, mask.copy())
-    grads = (g1.f1(), g1.f2(), g2.f1(), g2.f2())
-    z = np.zeros(2)
-    res = np.inf
-    for _ in range(cfg.newton_max_iter):
-        F = np.array([float(g1.interp(z[0], z[1])),
-                      float(g2.interp(z[0], z[1]))])
-        res = float(np.max(np.abs(F)))
-        if res <= cfg.newton_tol:
-            break
-        Jac = np.array(
-            [[float(_bilinear(grads[0], radius, z[0], z[1])),
-              float(_bilinear(grads[1], radius, z[0], z[1]))],
-             [float(_bilinear(grads[2], radius, z[0], z[1])),
-              float(_bilinear(grads[3], radius, z[0], z[1]))]])
-        z = z - np.linalg.solve(Jac, F)
-        nz = np.linalg.norm(z)
-        if nz > 0.95 * radius:
-            z *= 0.95 * radius / nz
+    z, res = patch_newton(pts, mask, radius)
     Q = np.stack([_bilinear(np.where(mask, pts[..., k], 0.0), radius,
                             z[0], z[1]) for k in range(5)], axis=-1)
 

@@ -71,6 +71,17 @@ def test_scalar_field_expression_derivatives():
     assert H[4, 4] == pytest.approx(-np.sin(2.0))
 
 
+def test_scalar_field_difference_fallback():
+    # without derivative callables, grad and hess are central differences
+    f = ScalarField5.from_callable(lambda x1, y1, x2, y2, t:
+                                   x1 ** 2 * y2 + np.sin(t) + 0 * y1 * x2)
+    p = np.array([[1.5, 0.0, 0.0, -0.7, 2.0], [0.2, 0.1, 0.3, 0.4, 0.5]])
+    exact = ScalarField5.from_expression("x1^2 * y2 + sin(t)")
+    assert np.allclose(f.grad(p), exact.grad(p), atol=1e-8)
+    assert np.allclose(f.hess(p), exact.hess(p), atol=1e-4)
+    assert f.hess(p[0]).shape == (5, 5)
+
+
 def test_scalar_field_rescaled():
     f = ScalarField5.from_expression("x1^2")
     fr = f.rescaled(0.5)
@@ -176,6 +187,12 @@ def test_field_from_spec():
         field_from_spec({"builtin": "nope"})
     with pytest.raises(ValueError):
         field_from_spec({"coeffs": {"sigma": "0"}})
+    for bad in ({"builtin": "sin-beta", "params": {"foo": 1}},
+                {"builtin": "sin-beta", "params": [1]},
+                {"builtin": "sin-beta", "params": {"eps": "0.1"}},
+                {"builtin": "standard", "params": {"eps": 0.1}}, [1]):
+        with pytest.raises(ValueError):
+            field_from_spec(bad)
 
 
 def test_fixture_fields_flatness():

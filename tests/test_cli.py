@@ -43,12 +43,26 @@ def test_field_params_and_config(tmp_path):
                 "--samples", "50"]) == 0
 
 
-def test_bad_usage_exit_codes(tmp_path):
+def test_bad_usage_exit_codes(tmp_path, capsys):
     assert run(["acs-check", "--field", "nonexistent"]) == 2
     assert run(["acs-check", "--field-params", "{not json"]) == 2
     assert run(["no-such-command"]) == 2
     missing = tmp_path / "missing.json"
     assert run(["acs-check", "--config", str(missing)]) == 2
+    # field params that are not an object of numbers, or that the builtin
+    # does not take, and a leaf of one disk are bad input too
+    capsys.readouterr()
+    for field, params in (("sin-beta", '{"foo": 1}'), ("sin-beta", "[1]"),
+                          ("sin-beta", '{"eps": [1]}'),
+                          ("standard", '{"eps": 0.1}')):
+        assert run(["solve-disk", "--field", field, "--field-params", params,
+                    "--grid", "17"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert run(["foliate", "--field", "standard", "--grid", "17",
+                "--t-count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "t_count" in err and "Traceback" not in err
 
 
 def test_solve_disk_command(tmp_path):

@@ -74,6 +74,14 @@ def test_build_leaf_kind_validation():
         build_leaf("spiral", standard_field(), PlaneChart(0.0), cfg=CFG)
 
 
+def test_build_leaf_needs_two_disks():
+    # a one-node leaf has no t-step and cannot interpolate between disks
+    for t_count in (0, 1):
+        with pytest.raises(ValueError):
+            build_leaf("polar", standard_field(), PlaneChart(0.0),
+                       t_count=t_count, cfg=CFG)
+
+
 def test_leaf_save(tmp_path):
     leaf = build_polar_leaf(standard_field(), PlaneChart(0.0), t_max=0.2,
                             t_count=3, cfg=CFG)

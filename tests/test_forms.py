@@ -120,9 +120,9 @@ def test_omega_from_J_inverts_j_from_form():
 
 def test_omega_from_J_rejects_non_lagrangian():
     # the standard I itself is compatible, not anti-compatible
-    from contactfive.forms import STD_I
+    from contactfive.contact import standard_I_matrix
     with pytest.raises(ValueError):
-        omega_from_J(JMatrix(STD_I))
+        omega_from_J(JMatrix(standard_I_matrix()))
 
 
 def test_verify_semicalibration_accepts_theta_family():

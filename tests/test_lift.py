@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from contactfive.charts import chart_of_plane
 from contactfive.contact import ContactParams
-from contactfive.lift import (GridFunction, LIFT_TOL_FACTOR, _derivative,
-                              _derivative2, closedness_residual, exact_patch,
+from contactfive.lift import (D1, D1_CENTRAL4, D2, D2_CENTRAL4, GridFunction,
+                              LIFT_TOL_FACTOR, _derivative, _derivative2,
+                              closedness_residual, exact_patch,
                               lagrangian_graph, legendrian_lift,
                               legendrian_residual, lift_path_independence,
-                              patch_from_potential, tangent_plane)
+                              patch_from_potential, stencil, tangent_plane)
 
 
 def quad_potential(n=65):
@@ -53,6 +56,57 @@ def test_memoized_derivatives_are_fresh_and_read_only():
         assert np.array_equal(got, expected)
         with pytest.raises(ValueError):
             got[0, 0] = 1.0
+
+
+TABLES = {"D1": D1, "D2": D2, "D1_CENTRAL4": D1_CENTRAL4,
+          "D2_CENTRAL4": D2_CENTRAL4}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_stencil_rule_moments(name):
+    # a rule on m offsets reproduces the derivative of its order on
+    # polynomials of degree < m: sum_k c_k k^j = den * order! [j == order]
+    order, rules = TABLES[name]
+    for offsets, coefficients, denominator in rules:
+        assert len(offsets) == len(coefficients) == len(set(offsets))
+        for j in range(len(offsets)):
+            moment = sum(c * k ** j for k, c in zip(offsets, coefficients))
+            assert moment == (denominator * math.factorial(order)
+                              if j == order else 0), (offsets, j)
+
+
+def _loop_stencil(values, mask, h, axis, table):
+    """Node-by-node first matching rule, the reference for stencil."""
+    order, rules = table
+    n = values.shape[0]
+    out = np.zeros((n, n))
+    applied = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if not mask[i, j]:
+                continue
+            for offsets, coefficients, denominator in rules:
+                nodes = [(i + k, j) if axis == 0 else (i, j + k)
+                         for k in offsets]
+                if all(0 <= a < n and 0 <= b < n and mask[a, b]
+                       for a, b in nodes):
+                    out[i, j] = sum(c * values[a, b] for c, (a, b)
+                                    in zip(coefficients, nodes)) / (
+                        denominator * h ** order)
+                    applied[i, j] = True
+                    break
+    return out, applied
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_stencil_matches_loop_reference(name, rng):
+    f = GridFunction(rng.normal(size=(17, 17)), radius=0.8)
+    for axis in (0, 1):
+        got, applied = stencil(f.values, f.mask, f.h, axis, TABLES[name])
+        ref, ref_applied = _loop_stencil(f.values, f.mask, f.h, axis,
+                                         TABLES[name])
+        assert np.array_equal(applied, ref_applied)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-9)
 
 
 def test_lagrangian_graph_layout():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from contactfive.acs import (constant_field, dilate_field, j_matrices,
+from contactfive.acs import (FD_H, _sample_ball, constant_field,
+                             dilate_field, epsilon_estimate, j_matrices,
                              sin_beta_field, standard_field)
 from contactfive.charts import PlaneChart, plane_vector_from_chart
 from contactfive.contact import ContactParams
@@ -259,14 +260,45 @@ def _loop_smallness_c2(ac, cfg):
     return val + d1 + d2
 
 
+def _loop_epsilon(acs, r, n_samples=128):
+    """Flatness surrogate of epsilon_estimate with one j_matrices
+    evaluation per shifted sample set: its reference."""
+    P = _sample_ball(np.random.default_rng(0), n_samples, 5, r)
+    P = np.concatenate([P, np.zeros((1, 5))], axis=0)
+    h = FD_H
+    E = h * np.eye(5)
+
+    def frob(M):
+        return np.linalg.norm(M.reshape(M.shape[:-2] + (16,)), axis=-1)
+
+    base = j_matrices(acs, P)
+    val = frob(base - j_matrices(acs, np.zeros(5)))
+    d1, d2 = np.zeros(len(P)), np.zeros(len(P))
+    for i in range(5):
+        a, b = j_matrices(acs, P + E[i]), j_matrices(acs, P - E[i])
+        d1 = np.maximum(d1, frob((a - b) / (2 * h)))
+        d2 = np.maximum(d2, frob((a + b - 2 * base) / h ** 2))
+        for j in range(i + 1, 5):
+            cross = (j_matrices(acs, P + E[i] + E[j])
+                     - j_matrices(acs, P + E[i] - E[j])
+                     - j_matrices(acs, P - E[i] + E[j])
+                     + j_matrices(acs, P - E[i] - E[j])) / (4 * h ** 2)
+            d2 = np.maximum(d2, frob(cross))
+    return float(r * np.max(val + d1 + d2))
+
+
 def test_smallness_report_matches_loop_evaluation():
+    acs = sin_beta_field(0.3)
     ac = adapt_chart(np.array([0.1, 0.0, -0.1, 0.05, 0.0]),
-                     np.array([1.0, 0.3, 0.0, 0.2]), sin_beta_field(0.3))
+                     np.array([1.0, 0.3, 0.0, 0.2]), acs)
     cfg = SolverConfig(n=33)
     rep = smallness_report(ac, 0.25, cfg)
     c2 = _loop_smallness_c2(ac, cfg)
     assert rep["beta_c2"] == c2[1]
     assert rep["A_c2"] == max(c2[0], c2[2], c2[4])
+    # epsilon_estimate shares the shifted-sample construction
+    for r in (1.0, 0.5):
+        assert epsilon_estimate(acs, r) == _loop_epsilon(acs, r)
 
 
 def test_contraction_error_on_rough_field():
