@@ -21,7 +21,7 @@ from .foliation import (build_leaf, intersect, leaf_through_parallel,
                         leaf_through_polar)
 from .lift import LIFT_TOL_FACTOR
 from .scenarios import SCENARIOS, verify_scenario
-from .solver import SolverConfig, solve_disk
+from .solver import ContractionError, SolverConfig, solve_disk
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -221,6 +221,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
+    except ContractionError as exc:
+        _emit({"command": args.command, "pass": False, "reason": str(exc)},
+              args.out)
+        return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

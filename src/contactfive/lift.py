@@ -246,8 +246,10 @@ def closedness_residual(L: dict, params: ContactParams = ContactParams()
                         ) -> float:
     """Max circulation of the pulled-back 1-form around grid cells whose
     four corners lie in the disk; zero for exact Lagrangian graphs."""
-    seg_i, seg_j = _segment_sums(L, params)
-    m = L["mask"]
+    return _max_circulation(*_segment_sums(L, params), L["mask"])
+
+
+def _max_circulation(seg_i, seg_j, m) -> float:
     cell = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
     circ = (seg_i[:, :-1] + seg_j[1:, :] - seg_i[:, 1:] - seg_j[:-1, :])
     if not np.any(cell):
@@ -299,13 +301,13 @@ def legendrian_lift(L: dict, start: np.ndarray,
     n = mask.shape[0]
     center = (n // 2, n // 2)
     tol = LIFT_TOL_FACTOR * h ** 2
-    res = closedness_residual(L, params)
+    seg_i, seg_j = _segment_sums(L, params)
+    res = _max_circulation(seg_i, seg_j, mask)
     if res > tol:
         raise ValueError(f"input graph is not Lagrangian: closedness "
                          f"residual {res:g} > {tol:g}")
     if np.max(np.abs(L["points"][center] - start[:4])) > 1e-9:
         raise ValueError("starting point is not over the center node")
-    seg_i, seg_j = _segment_sums(L, params)
     t = _sweep(seg_i, seg_j, mask, center, order) + start[4]
     return GridFunction(np.where(mask, t, 0.0), L["radius"], mask.copy())
 

@@ -196,7 +196,10 @@ class EllipticOperator:
         self.index = index
         self.h = h
         self._matrix = A
-        self._lu = splu(A.tocsc())
+        # the matrix is structurally symmetric: minimum degree on A^T + A
+        # gives about half the fill of the default COLAMD ordering
+        self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        options={"SymmetricMode": True})
         rng = np.random.default_rng(0)
         cand = [np.ones(m)] + [rng.choice([-1.0, 1.0], size=m)
                                for _ in range(3)]
@@ -214,6 +217,7 @@ class EllipticOperator:
 
 
 OP_CACHE_SIZE = 8                  # operators kept, least recently used out
+OP_CACHE_NODES = 257 ** 2          # budget on the total n^2 of those operators
 _OP_CACHE: OrderedDict = OrderedDict()
 
 
@@ -224,10 +228,14 @@ def get_operator(n: int, e0: float, sigma0: float, gamma0: float
     if key in _OP_CACHE:
         _OP_CACHE.move_to_end(key)
     else:
+        # make room before factoring, so that no evicted factor is still
+        # alive while the new one peaks
+        while _OP_CACHE and (
+                len(_OP_CACHE) >= OP_CACHE_SIZE
+                or n * n + sum(k[0] ** 2 for k in _OP_CACHE) > OP_CACHE_NODES):
+            _OP_CACHE.popitem(last=False)
         _OP_CACHE[key] = EllipticOperator(n, float(e0), float(sigma0),
                                           float(gamma0))
-        if len(_OP_CACHE) > OP_CACHE_SIZE:
-            _OP_CACHE.popitem(last=False)
     return _OP_CACHE[key]
 
 

@@ -75,6 +75,18 @@ def test_solve_disk_command(tmp_path):
     assert (tmp_path / "patch" / "patch.csv").exists()
 
 
+def test_solve_disk_divergent_reports_reason(tmp_path, capsys):
+    out = tmp_path / "div.json"
+    code = run(["solve-disk", "--field", "sin-beta", "--field-params",
+                '{"eps": 20}', "--grid", "33", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["pass"] is False and report["reason"]
+    assert json.loads(out.read_text()) == report
+    assert "Traceback" not in captured.err
+
+
 def test_verify_scenario_command(tmp_path):
     out = tmp_path / "s5.json"
     code = run(["verify-scenario", "--scenario", "s5", "--samples", "20",

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu, spsolve
 
 from contactfive.acs import (FD_H, _sample_ball, constant_field,
                              dilate_field, epsilon_estimate, j_matrices,
                              sin_beta_field, standard_field)
 from contactfive.charts import PlaneChart, plane_vector_from_chart
 from contactfive.contact import ContactParams
+from contactfive import solver
 from contactfive.solver import (ContractionError, EllipticOperator,
                                 OP_CACHE_SIZE, SolverConfig, _OP_CACHE,
                                 adapt_chart, choose_dilation, get_operator,
@@ -57,6 +59,67 @@ def test_operator_cache_is_bounded_lru():
     get_operator(*keys[-1])
     assert get_operator(*keys[-2]) is op
     assert len(_OP_CACHE) == OP_CACHE_SIZE
+
+
+def test_operator_cache_node_budget(monkeypatch):
+    budget = 2 * 17 ** 2
+    monkeypatch.setattr(solver, "OP_CACHE_NODES", budget)
+    built = []
+
+    class Recording(EllipticOperator):
+        def __init__(self, n, *coeffs):
+            built.append((n * n, sum(k[0] ** 2 for k in _OP_CACHE)))
+            super().__init__(n, *coeffs)
+
+    monkeypatch.setattr(solver, "EllipticOperator", Recording)
+    _OP_CACHE.clear()
+    for n in (17, 17, 21, 17, 17, 17, 23, 17):
+        get_operator(n, 1.0 + 0.001 * len(built), 0.0, 1.0)
+    # room is made before each build, never after
+    assert len(built) == 8
+    assert all(cached <= budget - new for new, cached in built)
+    assert sum(k[0] ** 2 for k in _OP_CACHE) <= budget
+    # a key that fills the budget alone (24^2 = 576) evicts everything older
+    get_operator(17, 1.0, 0.0, 1.0)
+    big = (24, 1.0, 0.0, 1.0)
+    op = get_operator(*big)
+    assert list(_OP_CACHE) == [big] and built[-1] == (big[0] ** 2, 0)
+    assert get_operator(*big) is op                 # hit: nothing evicted
+    _OP_CACHE.clear()
+
+
+# coefficient sets where the ordering matters: near-degenerate, strongly
+# anisotropic and a large cross term
+HARD_COEFFS = [(1.0, 0.99, 1.0), (0.05, 0.0, 3.0), (2.0, -1.9, 1.9)]
+
+
+@pytest.mark.parametrize("e0, s0, g0", HARD_COEFFS)
+def test_operator_factor_matches_reference(e0, s0, g0):
+    n = 65
+    op = EllipticOperator(n, e0, s0, g0)
+    xs = np.linspace(-1, 1, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    rhs = np.sin(3 * X) * np.cos(2 * Y) + np.random.default_rng(1).normal(
+        size=(n, n))
+    u, lin_res = op.solve(rhs)
+    ref = spsolve(op._matrix.tocsc(), rhs[op.interior])
+    assert (np.max(np.abs(u[op.interior] - ref))
+            <= 1e-12 * np.max(np.abs(ref)))
+    assert lin_res < 1e-12
+    # N with the default COLAMD factor on the same probe vectors
+    m = ref.size
+    rng = np.random.default_rng(0)
+    cand = [np.ones(m)] + [rng.choice([-1.0, 1.0], size=m) for _ in range(3)]
+    lu = splu(op._matrix.tocsc(), permc_spec="COLAMD")
+    N_ref = max(np.max(np.abs(lu.solve(b))) for b in cand)
+    assert op.N == pytest.approx(N_ref, rel=1e-12)
+
+
+def test_operator_factor_fill():
+    # the symmetric minimum-degree ordering keeps the n = 65 factor
+    # below 200 k nonzeros (COLAMD: 255,780)
+    op = EllipticOperator(65, 1.02, 0.31, 0.93)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 200_000
 
 
 def _loop_assembly(n, e0, sigma0, gamma0):
