@@ -8,6 +8,7 @@ lift through a chosen starting point.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,7 @@ DEFAULT_N = 65
 LIFT_TOL_FACTOR = 10.0  # discretization tolerances are 10 h^2
 NEWTON_TOL = 1e-12      # patch Newton: sup of the coordinate residual
 NEWTON_MAX_ITER = 40
+STENCIL_PLANS = 32       # stencil plans kept, one per (mask, axis, table)
 
 
 # Difference stencil tables.  A table is (order, rules); a rule
@@ -47,33 +49,63 @@ def stencil(values: np.ndarray, mask: np.ndarray, h: float, axis: int,
             table) -> tuple[np.ndarray, np.ndarray]:
     """Derivative along one axis on a masked grid by a stencil table;
     returns the grid (zero where no rule applies) and the nodes where a
-    rule applied."""
-    order, rules = table
-    n = values.shape[axis]
-    reach = max(abs(k) for offsets, _, _ in rules for k in offsets)
-    pad = [(reach, reach) if a == axis else (0, 0) for a in range(values.ndim)]
-    v = np.pad(np.where(mask, values, 0.0), pad)   # zero off the grid
-    m = np.pad(mask, pad)
+    rule applied.
 
-    def shifted(a, k):
-        return a[(slice(None),) * axis + (slice(reach + k, reach + k + n),)]
-
-    out = np.zeros(values.shape)
-    todo = mask.copy()
-    for offsets, coefficients, denominator in rules:
+    Which rule applies at which node depends only on (mask, axis, table),
+    so that choice is made once into a plan (`_stencil_plan`, an LRU of
+    STENCIL_PLANS entries keyed by the mask's shape and bytes); a call
+    only gathers the values each rule reads.  A masked node where no
+    rule's support fits in the mask reads 0 and is left out of the
+    applied mask: under D1/D2 these are the four tips of a disk mask on
+    the axis tangent to the circle there.  Both returned arrays are
+    fresh.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    order, steps, applied = _stencil_plan(mask.shape, mask.tobytes(), axis,
+                                          table)
+    v = np.asarray(values, dtype=float).ravel()
+    out = np.zeros(mask.shape)
+    flat = out.reshape(-1)
+    for idx, shifts, coefficients, denominator in steps:
         for _ in range(order):
             denominator = denominator * h
+        idx = idx.astype(np.intp)          # one index cast per rule
+        acc = coefficients[0] * v[idx + shifts[0]]
+        for s, c in zip(shifts[1:], coefficients[1:]):
+            acc = acc + c * v[idx + s]
+        flat[idx] = acc / denominator
+    return out, applied.copy()
+
+
+@functools.lru_cache(maxsize=STENCIL_PLANS)
+def _stencil_plan(shape: tuple, mask_bytes: bytes, axis: int, table):
+    """(order, steps, applied mask) of a stencil table on a mask; a step
+    is (flat node indices, offsets times the axis stride, coefficients,
+    denominator) of one rule that applies somewhere."""
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    order, rules = table
+    n = shape[axis]
+    stride = int(np.prod(shape[axis + 1:], dtype=int))
+    reach = max(abs(k) for offsets, _, _ in rules for k in offsets)
+    pad = [(reach, reach) if a == axis else (0, 0) for a in range(len(shape))]
+    m = np.pad(mask, pad)                          # False off the grid
+    todo = mask.copy()
+    steps = []
+    for offsets, coefficients, denominator in rules:
         use = todo.copy()
         for k in offsets:
-            use &= shifted(m, k)
+            use &= m[(slice(None),) * axis
+                     + (slice(reach + k, reach + k + n),)]
         if not use.any():
             continue
-        acc = coefficients[0] * shifted(v, offsets[0])[use]
-        for k, c in zip(offsets[1:], coefficients[1:]):
-            acc = acc + c * shifted(v, k)[use]
-        out[use] = acc / denominator
+        shifts = tuple(k * stride for k in offsets)
+        # int32 halves what the cached plans of large grids hold
+        idx = np.flatnonzero(use).astype(np.int32)
+        steps.append((idx, shifts, coefficients, denominator))
         todo &= ~use
-    return out, mask & ~todo
+    applied = mask & ~todo
+    applied.flags.writeable = False
+    return order, tuple(steps), applied
 
 
 def _derivative(values: np.ndarray, mask: np.ndarray, h: float,
@@ -203,8 +235,10 @@ def _bilinear(values: np.ndarray, radius: float, x, y):
     fy = np.clip((y + radius) / h, 0, n - 1 - 1e-12)
     i0 = fx.astype(int)
     j0 = fy.astype(int)
-    tx = fx - i0
-    ty = fy - j0
+    # trailing axes of values (components) broadcast against the points
+    extra = (1,) * (values.ndim - 2)
+    tx = (fx - i0).reshape(fx.shape + extra)
+    ty = (fy - j0).reshape(fy.shape + extra)
     v00 = values[i0, j0]
     v10 = values[i0 + 1, j0]
     v01 = values[i0, j0 + 1]
@@ -353,9 +387,8 @@ class LegendrianPatch:
                                      0.0), self.radius, self.mask.copy())
 
     def interp_point(self, x, y) -> np.ndarray:
-        cols = [_bilinear(np.where(self.mask, self.points[..., k], 0.0),
-                          self.radius, x, y) for k in range(5)]
-        return np.stack(cols, axis=-1)
+        return _bilinear(np.where(self.mask[..., None], self.points, 0.0),
+                         self.radius, x, y)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -367,7 +367,9 @@ def picard_solve(ac: AdaptedChart, cfg: SolverConfig = SolverConfig()
                  ) -> DiskSolution:
     """Iterate the frozen-coefficient solve from f = 0 until the sup
     difference falls below cfg.tol; aborts after two consecutive
-    non-contracting steps."""
+    non-contracting steps, or when the rhs of an iterate other than
+    f = 0 cannot be evaluated (it left the field's domain or its graph
+    is not Lagrangian)."""
     n = cfg.n
     params = cfg.params
     op = get_operator(n, ac.e0, ac.sigma0, ac.gamma0)
@@ -378,7 +380,14 @@ def picard_solve(ac: AdaptedChart, cfg: SolverConfig = SolverConfig()
     rising = 0
     iterations = 0
     for _ in range(cfg.max_iter):
-        rhs = _rhs_grid(ac, f, params)
+        try:
+            rhs = _rhs_grid(ac, f, params)
+        except ValueError as exc:
+            if not iterations:
+                raise           # f = 0: the input itself is bad
+            raise ContractionError(
+                f"iteration diverged: no rhs for iterate {iterations} "
+                f"({exc}); diffs {diffs[-3:]}") from exc
         new_vals, lin_res = op.solve(rhs)
         diff = float(np.max(np.abs(new_vals - f.values)[f.mask]))
         f = f.like(new_vals)
@@ -474,8 +483,7 @@ def psi(P: np.ndarray, X: PlaneChart, acs: ACSField,
     mask = sol.f.mask
     radius = sol.f.radius
     z, res = patch_newton(pts, mask, radius)
-    Q = np.stack([_bilinear(np.where(mask, pts[..., k], 0.0), radius,
-                            z[0], z[1]) for k in range(5)], axis=-1)
+    Q = _bilinear(np.where(mask[..., None], pts, 0.0), radius, z[0], z[1])
 
     f11 = _bilinear(sol.f.f11(), radius, z[0], z[1])
     f12 = _bilinear(sol.f.f12(), radius, z[0], z[1])

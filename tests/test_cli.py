@@ -87,6 +87,18 @@ def test_solve_disk_divergent_reports_reason(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_solve_disk_iterate_leaving_domain_reports_reason(capsys):
+    # at eps = 30 the second iterate leaves the field's ball: a
+    # divergence (exit 1), not bad input (exit 2)
+    code = run(["solve-disk", "--field", "sin-beta", "--field-params",
+                '{"eps": 30}', "--grid", "33"])
+    assert code == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["pass"] is False and "domain" in report["reason"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_scenario_command(tmp_path):
     out = tmp_path / "s5.json"
     code = run(["verify-scenario", "--scenario", "s5", "--samples", "20",

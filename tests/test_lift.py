@@ -6,7 +6,8 @@ import pytest
 from contactfive.charts import chart_of_plane
 from contactfive.contact import ContactParams
 from contactfive.lift import (D1, D1_CENTRAL4, D2, D2_CENTRAL4, GridFunction,
-                              LIFT_TOL_FACTOR, _derivative, _derivative2,
+                              LIFT_TOL_FACTOR, STENCIL_PLANS, _bilinear,
+                              _derivative, _derivative2, _stencil_plan,
                               closedness_residual, exact_patch,
                               lagrangian_graph, legendrian_lift,
                               legendrian_residual, lift_path_independence,
@@ -107,6 +108,90 @@ def test_stencil_matches_loop_reference(name, rng):
                                          TABLES[name])
         assert np.array_equal(applied, ref_applied)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-9)
+
+
+def _pad_stencil(values, mask, h, axis, table):
+    """Pad-and-shift kernel that chooses the rules on every call, the
+    bitwise reference for the planned stencil."""
+    order, rules = table
+    n = values.shape[axis]
+    reach = max(abs(k) for offsets, _, _ in rules for k in offsets)
+    pad = [(reach, reach) if a == axis else (0, 0) for a in range(values.ndim)]
+    v = np.pad(np.where(mask, values, 0.0), pad)
+    m = np.pad(mask, pad)
+
+    def shifted(a, k):
+        return a[(slice(None),) * axis + (slice(reach + k, reach + k + n),)]
+
+    out = np.zeros(values.shape)
+    todo = mask.copy()
+    for offsets, coefficients, denominator in rules:
+        for _ in range(order):
+            denominator = denominator * h
+        use = todo.copy()
+        for k in offsets:
+            use &= shifted(m, k)
+        if not use.any():
+            continue
+        acc = coefficients[0] * shifted(v, offsets[0])[use]
+        for k, c in zip(offsets[1:], coefficients[1:]):
+            acc = acc + c * shifted(v, k)[use]
+        out[use] = acc / denominator
+        todo &= ~use
+    return out, mask & ~todo
+
+
+@pytest.mark.parametrize("n", [17, 25, 33, 65, 129])
+def test_stencil_plan_matches_pad_reference(n, rng):
+    for radius in (1.0, 0.8, 0.7):
+        f = GridFunction(rng.normal(size=(n, n)), radius=radius)
+        for name, table in TABLES.items():
+            for axis in (0, 1):
+                got = stencil(f.values, f.mask, f.h, axis, table)
+                ref = _pad_stencil(f.values, f.mask, f.h, axis, table)
+                assert np.array_equal(got[0], ref[0]), (name, axis, radius)
+                assert np.array_equal(got[1], ref[1]), (name, axis, radius)
+        # chained f12 on the applied mask of the first derivative
+        g1, v1 = stencil(f.values, f.mask, f.h, 0, D1_CENTRAL4)
+        got = stencil(g1, v1, f.h, 1, D1_CENTRAL4)
+        ref = _pad_stencil(*_pad_stencil(f.values, f.mask, f.h, 0,
+                                         D1_CENTRAL4), f.h, 1, D1_CENTRAL4)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+
+def test_stencil_plan_cache_is_bounded():
+    assert _stencil_plan.cache_info().maxsize == STENCIL_PLANS
+    base = np.ones((17, 17), dtype=bool)
+    for k in range(STENCIL_PLANS + 5):
+        mask = base.copy()
+        mask.flat[k] = False             # a distinct mask each time
+        stencil(np.ones((17, 17)), mask, 0.1, 0, D1)
+        assert _stencil_plan.cache_info().currsize <= STENCIL_PLANS
+
+
+def test_stencil_returns_fresh_arrays(rng):
+    f = GridFunction(rng.normal(size=(25, 25)))
+    first, applied = stencil(f.values, f.mask, f.h, 1, D2)
+    expected = (first.copy(), applied.copy())
+    first[:] = 7.0
+    applied[:] = False
+    again = stencil(f.values, f.mask, f.h, 1, D2)
+    assert np.array_equal(again[0], expected[0])
+    assert np.array_equal(again[1], expected[1])
+
+
+def test_interp_point_matches_component_loop(rng):
+    f = quad_potential(33)
+    patch = exact_patch(f, np.zeros(5))
+    for x, y in ((0.13, -0.41), (rng.uniform(-0.7, 0.7, size=(3, 4)),
+                                 rng.uniform(-0.7, 0.7, size=(3, 4)))):
+        loop = np.stack([_bilinear(np.where(patch.mask, patch.points[..., k],
+                                            0.0), patch.radius, x, y)
+                         for k in range(5)], axis=-1)
+        got = patch.interp_point(x, y)
+        assert got.shape == loop.shape
+        assert np.array_equal(got, loop)
 
 
 def test_lagrangian_graph_layout():
